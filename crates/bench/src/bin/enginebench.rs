@@ -3,26 +3,23 @@
 //!
 //! * `serial` — the reference loop, every optimization off (the oracle).
 //! * `engine` — the parallel + idle fast-forward + gated fast-path
-//!   engine, burst stepping and SoA kernels **off** (the previous
-//!   engine generation's feature set).
-//! * `engine+burst` — burst stepping on, the fused SoA scan forced
-//!   **off** (`with_soa(false)`): the default engine's scalar fallback,
-//!   kept measured so `soa_vs_default` stays an apples-to-apples ratio.
-//! * `engine+burst+soa` — the default `EngineConfig::parallel()`:
-//!   burst stepping plus the fused SoA filter→force scan, both on by
-//!   default.
+//!   engine with the fused SoA scan forced **off** (`with_soa(false)`):
+//!   the default engine's scalar fallback, kept measured so
+//!   `soa_vs_default` stays an apples-to-apples ratio.
+//! * `engine+soa` — the default `EngineConfig::parallel()`, with the
+//!   fused SoA filter→force scan on.
 //!
 //! Two scenarios, both on the fig16 particle workload (6x6x6 cells,
 //! 64 Na/cell, 8 nodes of 3x3x3 cells):
 //!
 //! * `dense` — every node computes flat out. Almost no cycle is globally
-//!   quiescent, so neither fast-forward nor burst windows fire; this
-//!   scenario measures the raw per-cycle datapath cost.
+//!   quiescent, so fast-forward barely fires; this scenario measures
+//!   the raw per-cycle datapath cost.
 //! * `straggler` — node 0 stalls for `--stall` cycles at the start of
 //!   each force phase (OS jitter / checkpoint pause on one host). Once
 //!   the other seven nodes drain, the whole cluster is quiescent and the
 //!   engine fast-forwards straight to the stall expiry. This scenario
-//!   exercises the idle-dominated path where burst windows can open.
+//!   exercises the idle-dominated path.
 //!
 //! Every run is asserted bit-identical to the serial oracle
 //! (`ClusterRunReport ==`); the engines only change how fast host
@@ -116,72 +113,46 @@ struct Outcome {
     name: &'static str,
     serial: Timing,
     engine: Timing,
-    nosoa: Timing,
     full: Timing,
     cycles: u64,
     skipped: u64,
-    burst_cycles: u64,
-    burst_count: u64,
-    burst_refused: u64,
-    burst_refused_interface: u64,
-    burst_refused_idle: u64,
-    burst_refused_small: u64,
 }
 
 impl Outcome {
-    /// Default engine (burst + fused SoA scan) vs serial oracle.
+    /// Default engine (fused SoA scan on) vs serial oracle.
     fn speedup(&self) -> f64 {
         self.full.ratio_over(self.serial)
     }
 
-    /// Previous-generation engine mode (no burst, no SoA) vs serial.
+    /// The engine with the SoA scan off vs serial.
     fn speedup_engine(&self) -> f64 {
         self.engine.ratio_over(self.serial)
-    }
-
-    /// What burst stepping adds on top of the previous engine mode
-    /// (SoA off on both sides).
-    fn burst_gain(&self) -> f64 {
-        self.nosoa.ratio_over(self.engine)
     }
 
     /// The default fused SoA hot path relative to its scalar fallback
     /// (< 1 would mean dispatch-time planning costs more than it saves
     /// on this host).
     fn soa_gain(&self) -> f64 {
-        self.full.ratio_over(self.nosoa)
+        self.full.ratio_over(self.engine)
     }
 }
 
-/// The three optimized engine configurations a scenario is measured
+/// The two optimized engine configurations a scenario is measured
 /// under (the serial oracle is implicit).
 struct Engines {
-    /// Previous generation's feature set: no burst, no SoA.
+    /// Fused SoA scan forced off — the default's scalar fallback.
     engine: EngineConfig,
-    /// Burst on, fused SoA scan forced off — the default's scalar
-    /// fallback.
-    nosoa: EngineConfig,
-    /// The `EngineConfig::parallel()` default: burst + fused SoA scan.
+    /// The `EngineConfig::parallel()` default: fused SoA scan on.
     full: EngineConfig,
 }
 
-struct RunStats {
-    skipped: u64,
-    burst_cycles: u64,
-    burst_count: u64,
-    burst_refused: u64,
-    burst_refused_interface: u64,
-    burst_refused_idle: u64,
-    burst_refused_small: u64,
-}
-
-/// One fresh run under `engine`: timing, engine statistics, report.
+/// One fresh run under `engine`: timing, fast-forwarded cycles, report.
 fn run_once(
     sys: &ParticleSystem,
     cfg: ClusterConfig,
     steps: u64,
     engine: &EngineConfig,
-) -> (Timing, RunStats, ClusterRunReport) {
+) -> (Timing, u64, ClusterRunReport) {
     let mut cluster = Cluster::new(cfg, sys);
     let t0 = Instant::now();
     let c0 = cpu_seconds();
@@ -190,20 +161,11 @@ fn run_once(
         wall: t0.elapsed().as_secs_f64(),
         cpu: cpu_seconds() - c0,
     };
-    let stats = RunStats {
-        skipped: cluster.skipped_cycles,
-        burst_cycles: cluster.burst_cycles,
-        burst_count: cluster.burst_count,
-        burst_refused: cluster.burst_refused,
-        burst_refused_interface: cluster.burst_refused_interface,
-        burst_refused_idle: cluster.burst_refused_idle,
-        burst_refused_small: cluster.burst_refused_small,
-    };
-    (timing, stats, r)
+    (timing, cluster.skipped_cycles, r)
 }
 
-/// Best-of-`reps` for all four engines, reps interleaved (serial,
-/// engine, nosoa, full, serial, ...) so slow host-load windows hit
+/// Best-of-`reps` for all three engines, reps interleaved (serial,
+/// engine, full, serial, ...) so slow host-load windows hit
 /// every side alike. Asserts each optimized report equal to the serial
 /// oracle's, and returns that oracle report so the threads sweep can
 /// reuse it.
@@ -219,38 +181,22 @@ fn measure(
         name,
         serial: Timing::WORST,
         engine: Timing::WORST,
-        nosoa: Timing::WORST,
         full: Timing::WORST,
         cycles: 0,
         skipped: 0,
-        burst_cycles: 0,
-        burst_count: 0,
-        burst_refused: 0,
-        burst_refused_interface: 0,
-        burst_refused_idle: 0,
-        burst_refused_small: 0,
     };
     let mut oracle = None;
     for _ in 0..reps {
         let (ts, _, rs) = run_once(sys, cfg.clone(), steps, &EngineConfig::serial());
         let (te, _, re) = run_once(sys, cfg.clone(), steps, &engines.engine);
-        let (tn, _, rn) = run_once(sys, cfg.clone(), steps, &engines.nosoa);
-        let (tf, sf, rf) = run_once(sys, cfg.clone(), steps, &engines.full);
+        let (tf, skipped, rf) = run_once(sys, cfg.clone(), steps, &engines.full);
         assert_eq!(re, rs, "{name}: engine must stay bit-identical");
-        assert_eq!(rn, rs, "{name}: burst engine must stay bit-identical");
         assert_eq!(rf, rs, "{name}: default engine must stay bit-identical");
         o.serial.fold_best(ts);
         o.engine.fold_best(te);
-        o.nosoa.fold_best(tn);
         o.full.fold_best(tf);
         o.cycles = rs.total_cycles;
-        o.skipped = sf.skipped;
-        o.burst_cycles = sf.burst_cycles;
-        o.burst_count = sf.burst_count;
-        o.burst_refused = sf.burst_refused;
-        o.burst_refused_interface = sf.burst_refused_interface;
-        o.burst_refused_idle = sf.burst_refused_idle;
-        o.burst_refused_small = sf.burst_refused_small;
+        o.skipped = skipped;
         oracle = Some(rs);
     }
     (o, oracle.expect("reps >= 1"))
@@ -295,14 +241,11 @@ fn main() {
         Scenario { name: "straggler", cfg: straggler },
     ];
 
-    // Previous engine generation's feature set: threads + fast-forward +
-    // fast path, burst stepping and SoA scan kernels disabled; the
-    // default minus the fused SoA scan (its scalar fallback); and the
-    // default engine itself (burst + fused SoA scan on).
+    // The default minus the fused SoA scan (its scalar fallback), and
+    // the default engine itself.
     let full = EngineConfig::parallel().with_threads(threads);
     let engines = Engines {
-        engine: full.with_soa(false).with_burst(false),
-        nosoa: full.with_soa(false),
+        engine: full.with_soa(false),
         full,
     };
 
@@ -323,27 +266,14 @@ fn main() {
             "engine", o.engine.wall, o.engine.cpu, engines.engine.threads
         );
         println!(
-            "{:<22}{:>10.3} s wall {:>8.2} s cpu   (+ burst stepping: {} bursts / {} cycles, \
-             {} refused: {} interface / {} idle / {} small)",
-            "engine+burst",
-            o.nosoa.wall,
-            o.nosoa.cpu,
-            o.burst_count,
-            o.burst_cycles,
-            o.burst_refused,
-            o.burst_refused_interface,
-            o.burst_refused_idle,
-            o.burst_refused_small
-        );
-        println!(
             "{:<22}{:>10.3} s wall {:>8.2} s cpu   (+ fused SoA scan — the default engine)",
-            "engine+burst+soa", o.full.wall, o.full.cpu
+            "engine+soa", o.full.wall, o.full.cpu
         );
         println!(
             "{:<22}{:>9.2}x   vs serial ({:.2}x vs engine; {} cycles, {} fast-forwarded)",
             "speedup",
             o.speedup(),
-            o.burst_gain(),
+            o.soa_gain(),
             o.cycles,
             o.skipped
         );
@@ -352,13 +282,12 @@ fn main() {
 
     // Headline: the default engine vs the serial oracle on the dense run
     // (no idle cycles to fast-forward — the per-cycle datapath cost
-    // itself). The straggler run documents the fast-forward/burst lever.
+    // itself). The straggler run documents the fast-forward lever.
     let dense_o = &outcomes[0];
     let headline = dense_o.speedup();
     println!("\nheadline: dense default-engine speedup vs serial: {headline:.2}x");
     println!(
-        "          dense burst gain over previous engine mode: {:.2}x, fused soa vs scalar fallback: {:.2}x",
-        dense_o.burst_gain(),
+        "          dense fused soa vs scalar fallback: {:.2}x",
         dense_o.soa_gain()
     );
     println!(
@@ -609,18 +538,9 @@ fn main() {
             Json::obj()
                 .field("serial_cpu_seconds", Json::fixed(o.serial.cpu, 6))
                 .field("engine_cpu_seconds", Json::fixed(o.engine.cpu, 6))
-                .field("engine_burst_cpu_seconds", Json::fixed(o.nosoa.cpu, 6))
-                .field("engine_burst_soa_cpu_seconds", Json::fixed(o.full.cpu, 6))
+                .field("engine_soa_cpu_seconds", Json::fixed(o.full.cpu, 6))
                 .field("speedup_engine", Json::fixed(o.speedup_engine(), 3))
-                .field("speedup_burst", Json::fixed(o.speedup(), 3))
-                .field("burst_vs_engine", Json::fixed(o.burst_gain(), 3))
                 .field("soa_vs_default", Json::fixed(o.soa_gain(), 3))
-                .field("burst_cycles", Json::uint(o.burst_cycles))
-                .field("burst_count", Json::uint(o.burst_count))
-                .field("burst_refused", Json::uint(o.burst_refused))
-                .field("burst_refused_interface", Json::uint(o.burst_refused_interface))
-                .field("burst_refused_idle", Json::uint(o.burst_refused_idle))
-                .field("burst_refused_small", Json::uint(o.burst_refused_small))
                 .build(),
         );
     }

@@ -132,9 +132,8 @@ impl From<std::io::Error> for CkptError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected 0xEDB88320) — same polynomial discipline as the
-// wire-format checksum in fasda-net::packet, duplicated here so this crate
-// stays at the bottom of the dependency graph.
+// CRC-32 (IEEE, reflected 0xEDB88320) — shared with the wire-format
+// checksum in fasda-net::packet, which depends on this crate.
 // ---------------------------------------------------------------------------
 
 const CRC_TABLE: [u32; 256] = {
@@ -157,13 +156,19 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
+/// Incremental CRC-32 update: start `state` at `0xFFFF_FFFF`, feed the
+/// input in any number of slices, and finish with `!state`. Lets a
+/// caller checksum a logical byte sequence without concatenating it.
+pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
+    }
+    state
+}
+
 /// CRC-32 over `bytes` (IEEE polynomial, reflected).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 // ---------------------------------------------------------------------------

@@ -1066,7 +1066,7 @@ fn job_spec(opts: &Opts) -> Result<JobSpec, String> {
     };
     // Round-trip through JSON so flag-built specs hit exactly the
     // validation a submitted document does.
-    JobSpec::from_json(&spec.to_json())
+    JobSpec::from_json(&spec.to_wire()?)
 }
 
 fn job_id(opts: &Opts) -> Result<u64, String> {

@@ -27,34 +27,6 @@ use std::collections::BTreeMap;
 /// Safety cap on the global cycle loop.
 pub(crate) const MAX_RUN_CYCLES: u64 = 2_000_000_000;
 
-/// Smallest force-phase burst worth taking: below this the burst's
-/// eligibility scan costs more than the per-cycle loop it skips.
-const MIN_BURST: u64 = 4;
-
-/// Cycles to wait before re-attempting a burst after the first refused
-/// window. Doubles on every consecutive refusal (up to
-/// [`BURST_RETRY_COOLDOWN_MAX`]) and resets on a successful burst: in
-/// dense phases some station is always within a few cycles of ejecting,
-/// so windows essentially never open and the eligibility scan would
-/// otherwise burn a few percent of the run re-proving that every few
-/// cycles.
-const BURST_RETRY_COOLDOWN: u64 = 8;
-
-/// Upper bound for the exponential refusal backoff.
-const BURST_RETRY_COOLDOWN_MAX: u64 = 1024;
-
-/// Why a burst window failed to open (feeds the named refusal
-/// counters on [`Cluster`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BurstBlock {
-    /// A window opened; it may still be refused as too small.
-    Open,
-    /// Some node's external interface could fire within the window.
-    Interface,
-    /// No force-phase chip was computing at all.
-    Idle,
-}
-
 /// Idle-streak length between deadlock scans on engines without
 /// fast-forward (which detect deadlock through their own event scan).
 /// The scan is O(nodes · peers); every 256 idle cycles it is noise.
@@ -90,14 +62,6 @@ pub struct EngineConfig {
     /// `DESIGN.md` §10); the scalar per-comparison walk stays the serial
     /// oracle it is validated against.
     pub soa: bool,
-    /// Burst-step the force phase: when every node's external interfaces
-    /// are provably quiet for the next W cycles (no deliveries, packet
-    /// departures, barrier releases, marker flushes or phase transitions
-    /// possible), advance each busy chip W force cycles in one inner loop
-    /// without returning to the cluster tick layer — the busy-path
-    /// analogue of idle fast-forward. Bit-identical by the window proof
-    /// (see `DESIGN.md`).
-    pub burst: bool,
     /// Flight-recorder configuration (see `fasda-trace`). Off by
     /// default; with tracing on, every engine configuration emits
     /// byte-identical per-node event streams and stall ledgers, retrieved
@@ -122,15 +86,14 @@ impl EngineConfig {
             fast_forward: false,
             fast_path: false,
             soa: false,
-            burst: false,
             trace: TraceConfig::OFF,
             heartbeat_every: 0,
         }
     }
 
     /// The optimized engine: parallel compute phase over all available
-    /// cores, idle fast-forward, the chips' fast-path execution,
-    /// force-phase burst stepping, and the fused SoA scan kernels
+    /// cores, idle fast-forward, the chips' fast-path execution, and the
+    /// fused SoA scan kernels
     /// (default-on since the fused filter→force kernel wins on dense
     /// workloads; opt out with [`EngineConfig::with_soa`]).
     pub fn parallel() -> Self {
@@ -139,7 +102,6 @@ impl EngineConfig {
             fast_forward: true,
             fast_path: true,
             soa: true,
-            burst: true,
             trace: TraceConfig::OFF,
             heartbeat_every: 0,
         }
@@ -168,12 +130,6 @@ impl EngineConfig {
     /// Enable or disable the SoA batch-kernel scan path.
     pub fn with_soa(mut self, on: bool) -> Self {
         self.soa = on;
-        self
-    }
-
-    /// Enable or disable force-phase burst stepping.
-    pub fn with_burst(mut self, on: bool) -> Self {
-        self.burst = on;
         self
     }
 
@@ -619,47 +575,6 @@ pub struct Cluster {
     /// Cycles the fast-forward engine jumped over instead of simulating
     /// (always 0 for `fast_forward: false`; cycle counts are unaffected).
     pub skipped_cycles: u64,
-    /// Cycles simulated inside force-phase bursts (a subset of the total
-    /// — burst cycles are real simulated cycles, just run without the
-    /// per-cycle exchange/network walk).
-    pub burst_cycles: u64,
-    /// Number of bursts that ran.
-    pub burst_count: u64,
-    /// Burst attempts refused (window below [`MIN_BURST`]); always the
-    /// sum of the three named reason counters below.
-    ///
-    /// On the reference workloads every refusal is `interface` or
-    /// `idle` — measured by sampling the window on *every* engine
-    /// cycle: each time a chip's rings and SPE queues were observed
-    /// fully drained, its stations had already finished too
-    /// (completion bound 0). Every ring-kind scan ends with a
-    /// chip-boundary event (a force flit or a remote-completion
-    /// record), and staggered stations space those events closer than
-    /// [`MIN_BURST`], so a quiet-but-busy span never materializes: the
-    /// chip boundary stays occupied for exactly as long as the chip
-    /// computes. Burst therefore cannot engage on dense (or sparse)
-    /// force phases of this model; these counters exist so benchmark
-    /// reports say *why* rather than silently printing zeros.
-    pub burst_refused: u64,
-    /// Refusals because some node's external interface (a delivery,
-    /// departure, barrier release, marker flush, ring traffic, or an
-    /// imminent boundary ejection) could fire within [`MIN_BURST`].
-    pub burst_refused_interface: u64,
-    /// Refusals because no force-phase chip was computing at all — the
-    /// span is idle and belongs to fast-forward, not burst.
-    pub burst_refused_idle: u64,
-    /// Refusals because a window opened but was shorter than
-    /// [`MIN_BURST`] (the eligibility scan would cost more than the
-    /// per-cycle loop it skips).
-    pub burst_refused_small: u64,
-    /// Monotonic count of node phase transitions. The burst retry
-    /// throttle resets its exponential backoff whenever this changes:
-    /// a transition (e.g. a node entering its force phase) creates a
-    /// fresh burst opportunity that the backoff from the *previous*
-    /// phase's refusals must not starve. Not checkpointed — it is a
-    /// throttle heuristic, and burst throttling never affects the
-    /// simulated state (only which wall-clock path computes it).
-    phase_epoch: u64,
     /// Per-node quiescence cache (optimized engines only): `quiet[n]`
     /// means node `n`'s chip was observed locally idle and nothing has
     /// been injected into it since, so its O(CBBs) idle predicates need
@@ -673,7 +588,7 @@ pub struct Cluster {
     pub(crate) trace_cfg: TraceConfig,
     /// Hot-path gate: `trace_cfg.level != Off` for the current run.
     pub(crate) tracing: bool,
-    /// Engine-level event stream (burst windows, fast-forward jumps) —
+    /// Engine-level event stream (fast-forward jumps) —
     /// deliberately separate from the per-node streams, which stay
     /// byte-identical across engines.
     pub(crate) tr_engine: NodeRecorder,
@@ -846,13 +761,6 @@ impl Cluster {
             barrier_force: BulkBarrier::new(n, bulk_latency),
             cycle: 0,
             skipped_cycles: 0,
-            burst_cycles: 0,
-            burst_count: 0,
-            burst_refused: 0,
-            burst_refused_interface: 0,
-            burst_refused_idle: 0,
-            burst_refused_small: 0,
-            phase_epoch: 0,
             quiet: vec![false; n],
             use_quiet: false,
             records: Vec::new(),
@@ -1003,18 +911,6 @@ impl Cluster {
         };
         self.arm_run(engine);
 
-        // Retry throttle for burst attempts: after a failed window scan
-        // (W below the worthwhile threshold) the blocking condition — a
-        // filling FIFO, a packet in flight, an imminent barrier — rarely
-        // clears within a cycle or two, so don't pay the O(nodes · PEs)
-        // scan again immediately. The backoff resets whenever any node
-        // transitions phase (`phase_epoch`): windows cluster in the
-        // force-phase tail, and a backoff inflated to hundreds of cycles
-        // by mid-phase refusals would sleep straight through the next
-        // phase's tail.
-        let mut burst_cooldown = 0u64;
-        let mut burst_backoff = BURST_RETRY_COOLDOWN;
-        let mut burst_epoch = self.phase_epoch;
         let mut idle_streak = 0u64;
         // `crash=NODE@STEP` directives: a node "dies" once its force
         // phase for that step is underway. Checked at the cycle-loop top
@@ -1083,33 +979,6 @@ impl Cluster {
                     }
                 }
             }
-            // Burst stepping: when every node's external interfaces are
-            // provably quiet for the next W cycles, advance all busy
-            // force-phase chips W cycles in one inner loop. Skipped on
-            // delivery cycles (a delivery can enable an exchange action
-            // the following cycle) — the same rule the fast-forward scan
-            // uses below.
-            if engine.burst && !delivered && stepped {
-                if self.phase_epoch != burst_epoch {
-                    burst_epoch = self.phase_epoch;
-                    burst_cooldown = 0;
-                    burst_backoff = BURST_RETRY_COOLDOWN;
-                }
-                if burst_cooldown > 0 {
-                    burst_cooldown -= 1;
-                } else {
-                    let cap = run_start + cycle_budget;
-                    if self.try_burst(pool.as_ref(), cap) {
-                        burst_backoff = BURST_RETRY_COOLDOWN;
-                    } else {
-                        burst_cooldown = burst_backoff;
-                        burst_backoff = (burst_backoff * 2).min(BURST_RETRY_COOLDOWN_MAX);
-                    }
-                    if self.cycle >= cap {
-                        return Err(self.stalled().into());
-                    }
-                }
-            }
             // Scan for a jump only on cycles that ticked no chip and
             // delivered nothing: a ticked chip is almost certainly still
             // busy next cycle, and a delivery can enable an exchange
@@ -1165,14 +1034,13 @@ impl Cluster {
         self.tracing = engine.trace.level != TraceLevel::Off;
         self.tr_engine = NodeRecorder::new(engine.trace);
         self.tr_stalls = StallLedger::new(self.num_nodes());
-        self.use_quiet = engine.fast_forward || engine.fast_path || engine.burst;
+        self.use_quiet = engine.fast_forward || engine.fast_path;
         self.quiet.iter_mut().for_each(|q| *q = false);
         self.records.clear();
         // arm step 0
         for node in owned {
             self.sync[node].begin_step(self.state[node].step);
             self.chips[node].begin_force_phase();
-            self.phase_epoch += 1;
             self.state[node].phase = NodePhase::Force;
             self.state[node].phase_start = self.cycle;
             self.state[node].last_pos_flushed = false;
@@ -1427,29 +1295,6 @@ impl Cluster {
         StallCause::WaitNeighborSync
     }
 
-    /// Burst-window attribution: each bursting chip computes with at
-    /// least one busy PE on every window cycle (the window proof
-    /// guarantees no station ejection, so an occupied station — created
-    /// at the latest by the first cycle's dispatch — persists), and every
-    /// other force-phase node's classification inputs are frozen for the
-    /// whole window, so its single-cycle cause holds `w` times. `busy` is
-    /// ascending (node-order scan).
-    fn attribute_burst(&mut self, busy: &[usize], w: u64) {
-        for node in self.owned_range() {
-            let st = &self.state[node];
-            if st.phase != NodePhase::Force {
-                continue;
-            }
-            let step = st.step;
-            if busy.binary_search(&node).is_ok() {
-                self.tr_stalls.productive(node, step, w);
-            } else {
-                let cause = self.classify_idle(node);
-                self.tr_stalls.stall(node, step, cause, w);
-            }
-        }
-    }
-
     /// Fast-forward attribution: every node is quiescent across the
     /// jumped span and no event fires inside it, so each force-phase
     /// node's single-cycle cause holds for all `delta` skipped cycles.
@@ -1555,7 +1400,6 @@ impl Cluster {
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_mu(node),
                 SyncMode::Bulk { .. } => {
-                    self.phase_epoch += 1;
                     self.state[node].phase = NodePhase::BarrierBeforeMu;
                     // Re-base `phase_start` at barrier entry so the wait
                     // duration is reportable (engine-invariant; nothing
@@ -1600,7 +1444,6 @@ impl Cluster {
             tr.push(cycle, EventKind::PhaseBegin { phase: PhaseId::MotionUpdate, step });
         }
         self.chips[node].begin_mu_phase();
-        self.phase_epoch += 1;
         self.state[node].phase = NodePhase::Mu;
         self.state[node].phase_start = self.cycle;
         self.state[node].mig_flushed = false;
@@ -1661,14 +1504,12 @@ impl Cluster {
             }
             self.state[node].step += 1;
             if self.state[node].step >= steps {
-                self.phase_epoch += 1;
                 self.state[node].phase = NodePhase::Done;
                 return;
             }
             match self.cfg.sync {
                 SyncMode::Chained => self.enter_next_force(node),
                 SyncMode::Bulk { .. } => {
-                    self.phase_epoch += 1;
                     self.state[node].phase = NodePhase::BarrierBeforeForce;
                     self.state[node].phase_start = self.cycle;
                     if self.tracing {
@@ -1709,7 +1550,6 @@ impl Cluster {
         }
         self.sync[node].begin_step(step);
         self.chips[node].begin_force_phase();
-        self.phase_epoch += 1;
         self.state[node].phase = NodePhase::Force;
         self.state[node].phase_start = self.cycle;
         self.state[node].last_pos_flushed = false;
@@ -1822,197 +1662,6 @@ impl Cluster {
         self.skipped_cycles += delta;
         self.cycle = target;
     }
-
-    // ------------------------------------------------------------------
-    // Force-phase burst stepping.
-
-    /// Conservative window W such that the next W global cycles consist
-    /// exclusively of busy force-phase chips ticking their CBB internals:
-    /// no inbox delivery, packetizer departure, barrier release, stall
-    /// expiry, marker flush, or phase transition can fire before cycle
-    /// `self.cycle + W`. `busy` collects the nodes whose chips actually
-    /// tick during the window. Returns `(0, Interface)` whenever any
-    /// node's upcoming exchange cannot be proven frozen, and
-    /// `(0, Idle)` when no force-phase chip is computing at all (the
-    /// span is idle and belongs to fast-forward); the reason feeds the
-    /// named refusal counters.
-    fn burst_window(&self, busy: &mut Vec<usize>) -> (u64, BurstBlock) {
-        let mut w = u64::MAX;
-        let bound = |w: &mut u64, c: u64| *w = (*w).min(c);
-        for node in 0..self.num_nodes() {
-            // Scheduled network events bound every node alike.
-            if let Some(d) = self.inbox[node].next_due() {
-                if d <= self.cycle {
-                    return (0, BurstBlock::Interface);
-                }
-                bound(&mut w, d - self.cycle);
-            }
-            // Retransmission deadlines fire in the (skipped) network
-            // phase, so the window must close before the earliest one.
-            if let Some(rel) = &self.rel {
-                if let Some(d) = rel.next_retx_due(node) {
-                    if d <= self.cycle {
-                        return (0, BurstBlock::Interface);
-                    }
-                    bound(&mut w, d - self.cycle);
-                }
-            }
-            for d in [
-                self.pos_pz[node].next_departure(self.cycle),
-                self.frc_pz[node].next_departure(self.cycle),
-                self.mig_pz[node].next_departure(self.cycle),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                if d <= self.cycle {
-                    return (0, BurstBlock::Interface);
-                }
-                bound(&mut w, d - self.cycle);
-            }
-            // A stalled node skips both compute and exchange until its
-            // stall expires; `stalls -= W` afterwards reproduces the
-            // reference decrement-per-cycle exactly.
-            if self.stalls[node] > 0 {
-                bound(&mut w, self.stalls[node]);
-                continue;
-            }
-            match self.state[node].phase {
-                NodePhase::Done => {}
-                NodePhase::BarrierBeforeMu | NodePhase::BarrierBeforeForce => {
-                    // An unreleased barrier only changes through another
-                    // node's transition (none during the window); a
-                    // released one fires at its release cycle.
-                    if let Some(r) = self.state[node].barrier_release {
-                        if r <= self.cycle {
-                            return (0, BurstBlock::Interface);
-                        }
-                        bound(&mut w, r - self.cycle);
-                    }
-                }
-                NodePhase::Mu => {
-                    // Bursting never advances MU work, so an active MU
-                    // chip would fall behind: require the node quiescent
-                    // and its phase completion still blocked on a marker.
-                    if !self.quiet[node] || self.sync[node].mu_phase_complete() {
-                        return (0, BurstBlock::Interface);
-                    }
-                }
-                NodePhase::Force => {
-                    if self.use_quiet && self.quiet[node] {
-                        // Idle chip: no tick; its exchange is frozen
-                        // unless the sync already completed (transition
-                        // pending next cycle).
-                        if self.sync[node].force_phase_complete() {
-                            return (0, BurstBlock::Interface);
-                        }
-                        continue;
-                    }
-                    let cw = self.chips[node].force_burst_window();
-                    if cw == 0 {
-                        return (0, BurstBlock::Interface);
-                    }
-                    // Marker flushes that could fire on an upcoming
-                    // exchange (reachable when this node's stall expired
-                    // this very cycle, before its exchange ran).
-                    if !self.state[node].last_pos_flushed
-                        && self.chips[node].all_positions_departed()
-                    {
-                        return (0, BurstBlock::Interface);
-                    }
-                    for i in 0..self.sync[node].recv_peers.len() {
-                        let p = self.sync[node].recv_peers[i];
-                        if self.sync[node].owes_last_frc(&p) {
-                            let pc = self.node_coord[p];
-                            if self.chips[node].outstanding_from(pc) == 0
-                                && self.chips[node].frc_drained_to(pc)
-                                && self.chips[node].frc_egress_empty()
-                            {
-                                return (0, BurstBlock::Interface);
-                            }
-                        }
-                    }
-                    if self.sync[node].force_phase_complete()
-                        && self.chips[node].force_phase_local_idle()
-                    {
-                        return (0, BurstBlock::Interface);
-                    }
-                    bound(&mut w, cw);
-                    busy.push(node);
-                }
-            }
-        }
-        if busy.is_empty() || w == u64::MAX {
-            // Nothing computing: idle spans belong to fast-forward.
-            return (0, BurstBlock::Idle);
-        }
-        (w, BurstBlock::Open)
-    }
-
-    /// Attempt one burst. Returns whether a burst (of at least
-    /// [`MIN_BURST`] cycles) ran; the caller throttles re-attempts after
-    /// a refusal.
-    fn try_burst(&mut self, pool: Option<&ThreadPool>, cap: u64) -> bool {
-        let mut busy = Vec::new();
-        let (scanned, block) = self.burst_window(&mut busy);
-        let w = scanned.min(cap - self.cycle);
-        if w < MIN_BURST {
-            self.burst_refused += 1;
-            match block {
-                BurstBlock::Interface => self.burst_refused_interface += 1,
-                BurstBlock::Idle => self.burst_refused_idle += 1,
-                BurstBlock::Open => self.burst_refused_small += 1,
-            }
-            if self.tracing {
-                self.tr_engine
-                    .push(self.cycle, EventKind::BurstRefused { window: w });
-            }
-            return false;
-        }
-        self.burst_cycles += w;
-        self.burst_count += 1;
-        if self.tracing {
-            self.tr_engine.push(
-                self.cycle,
-                EventKind::BurstOpen { window: w, busy: busy.len() as u32 },
-            );
-            self.attribute_burst(&busy, w);
-            // Chip-emitted events inside the burst (Full-level PE
-            // activity) stamp from the window's first global cycle.
-            let now = self.cycle;
-            for &node in &busy {
-                self.chips[node].set_trace_now(now);
-            }
-        }
-        match pool {
-            Some(pool) if busy.len() > 1 => {
-                use rayon::prelude::*;
-                let mut jobs: Vec<&mut TimedChip> = Vec::with_capacity(busy.len());
-                let mut it = self.chips.iter_mut();
-                let mut prev = 0;
-                for &node in &busy {
-                    let chip = it.nth(node - prev).expect("busy node index");
-                    prev = node + 1;
-                    jobs.push(chip);
-                }
-                pool.install(|| {
-                    jobs.par_iter_mut().for_each(|chip| chip.run_force_burst(w));
-                });
-            }
-            _ => {
-                for &node in &busy {
-                    self.chips[node].run_force_burst(w);
-                }
-            }
-        }
-        for s in &mut self.stalls {
-            *s = s.saturating_sub(w);
-        }
-        self.cycle += w;
-        true
-    }
-
-    // ------------------------------------------------------------------
 
     pub(crate) fn network_cycle(&mut self) {
         if let Some(ex) = &mut self.exchange {
@@ -2674,6 +2323,14 @@ pub mod sections {
     pub const RUNNER: &str = "runner";
 }
 
+/// Retired `u64` slots in the `driver` section, right after the clock
+/// and skipped-cycle words. They held the counters of a since-removed
+/// force-phase burst-stepping engine mode, which never changed simulated
+/// state. Keeping the slots keeps `FORMAT_VERSION` 1 containers (and the
+/// committed golden fixtures) byte-stable: the writer fills them with
+/// zeros and the reader skips whatever an older checkpoint stored there.
+const RETIRED_DRIVER_WORDS: usize = 6;
+
 impl Cluster {
     /// Fingerprint of everything that must match between the snapshotting
     /// and the restoring cluster. Stored as per-field digests so a
@@ -2778,12 +2435,7 @@ impl Cluster {
         let mut w = fasda_ckpt::Writer::new();
         w.put_u64(self.cycle);
         w.put_u64(self.skipped_cycles);
-        w.put_u64(self.burst_cycles);
-        w.put_u64(self.burst_count);
-        w.put_u64(self.burst_refused);
-        w.put_u64(self.burst_refused_interface);
-        w.put_u64(self.burst_refused_idle);
-        w.put_u64(self.burst_refused_small);
+        w.put_bytes(&[0; 8 * RETIRED_DRIVER_WORDS]);
         self.state.save(&mut w);
         self.stalls.save(&mut w);
         fasda_ckpt::snapshot_slice(&self.sync, &mut w);
@@ -2830,12 +2482,7 @@ impl Cluster {
         let r = &mut c.reader(sections::DRIVER)?;
         self.cycle = r.get_u64()?;
         self.skipped_cycles = r.get_u64()?;
-        self.burst_cycles = r.get_u64()?;
-        self.burst_count = r.get_u64()?;
-        self.burst_refused = r.get_u64()?;
-        self.burst_refused_interface = r.get_u64()?;
-        self.burst_refused_idle = r.get_u64()?;
-        self.burst_refused_small = r.get_u64()?;
+        r.take(8 * RETIRED_DRIVER_WORDS)?;
         let state: Vec<NodeState> = Persist::load(r)?;
         if state.len() != self.state.len() {
             return Err(r.malformed(format!(

@@ -1138,11 +1138,6 @@ fn worker_loop(
     index: usize,
     shards: usize,
 ) -> Result<(), ShardError> {
-    // Burst stepping inspects non-owned interface state and is refused
-    // in workers; node streams, stall ledgers and state stay identical
-    // (burst only changes the engine stream's own event log).
-    let mut engine = *engine;
-    engine.burst = false;
     let pool = if engine.threads > 1 {
         ThreadPoolBuilder::new().num_threads(engine.threads).build().ok()
     } else {
@@ -1157,7 +1152,7 @@ fn worker_loop(
             CtlFrame::Run { target, budget } => {
                 let frame = match run_segment(
                     &mut cl,
-                    &engine,
+                    engine,
                     pool.as_ref(),
                     mesh,
                     ctl,

@@ -120,7 +120,7 @@ fn chaos_runs_bit_identical_to_fault_free() {
 #[test]
 fn chaos_traces_engine_invariant() {
     // Same plan, serial oracle vs the full optimized engine (threads +
-    // fast-forward + fast path + burst): reports equal, event streams
+    // fast-forward + fast path + SoA): reports equal, event streams
     // and stall ledgers byte-identical. Faults are decided in the serial
     // network phase, so the schedule itself is engine-invariant.
     let full = TraceConfig::full();

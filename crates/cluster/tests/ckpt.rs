@@ -18,10 +18,11 @@ use fasda_cluster::ckpt::{
     resume_latest, run_with_checkpoints, CheckpointConfig, CheckpointedRun, CkptRunError,
     RunAccumulator,
 };
+use fasda_cluster::driver::sections;
 use fasda_cluster::{
     Cluster, ClusterConfig, ClusterError, EngineConfig, FaultPlan, RelConfig, TraceConfig,
 };
-use fasda_ckpt::{CkptError, Container, ContainerWriter};
+use fasda_ckpt::{CkptError, Container, ContainerWriter, Writer};
 use fasda_md::system::ParticleSystem;
 use fasda_sim::rng::XorShift64Star;
 use harness::{config, final_state, workload, BUDGET};
@@ -98,6 +99,61 @@ fn restored_cluster_continues_bit_identical() {
     assert_eq!(got.0.pos, want.0.pos, "positions diverged after restore");
     assert_eq!(got.0.vel, want.0.vel, "velocities diverged after restore");
     assert_eq!(got.1, want.1, "force accumulators diverged after restore");
+}
+
+#[test]
+fn retired_driver_words_are_read_and_discarded() {
+    // The `driver` section keeps six retired u64 slots after the clock
+    // and skipped-cycle words. The writer zero-fills them, but a
+    // FORMAT_VERSION 1 checkpoint from an older default engine carried
+    // nonzero counters there (e.g. 87 refusals on dense fig16). Restoring
+    // such a checkpoint must ignore them entirely.
+    const RETIRED: std::ops::Range<usize> = 16..16 + 6 * 8;
+    let sys = workload();
+    let cfg = config(None, false);
+    let engine = EngineConfig::serial();
+
+    let mut a = Cluster::new(cfg.clone(), &sys);
+    a.try_run_with(EVERY, BUDGET, &engine).expect("prefix");
+    let mut cw = ContainerWriter::new();
+    a.snapshot_into(&mut cw);
+    let clean = cw.finish();
+
+    // Re-frame every section so the patched one gets a valid CRC.
+    let parsed = Container::parse(&clean).expect("parse");
+    let mut cw = ContainerWriter::new();
+    for name in parsed.section_names() {
+        let mut payload = parsed.payload(name).expect("listed section").to_vec();
+        if name == sections::DRIVER {
+            assert!(payload[RETIRED].iter().all(|&b| b == 0), "writer zero-fills the slots");
+            for (slot, v) in payload[RETIRED].chunks_exact_mut(8).zip([5u64, 2, 87, 85, 2, 0]) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+        let mut w = Writer::new();
+        w.put_bytes(&payload);
+        cw.push(name, w);
+    }
+    let patched = cw.finish();
+    assert_ne!(patched, clean);
+
+    let resume = |bytes: &[u8]| {
+        let mut b = Cluster::new(cfg.clone(), &sys);
+        b.restore_from(&Container::parse(bytes).expect("parse")).expect("restore");
+        let mut cw = ContainerWriter::new();
+        b.snapshot_into(&mut cw);
+        let resnapshot = cw.finish();
+        let report = b.try_run_with(STEPS, BUDGET, &engine).expect("suffix");
+        (resnapshot, report, final_state(&b, &sys))
+    };
+    let (want_bytes, want_report, want) = resume(&clean);
+    let (got_bytes, got_report, got) = resume(&patched);
+    assert_eq!(got_bytes, want_bytes, "retired words leaked into the restored state");
+    assert_eq!(want_bytes, clean);
+    assert_eq!(got_report, want_report, "report diverged");
+    assert_eq!(got.0.pos, want.0.pos, "positions diverged");
+    assert_eq!(got.0.vel, want.0.vel, "velocities diverged");
+    assert_eq!(got.1, want.1, "force accumulators diverged");
 }
 
 // -------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Engine determinism regression: every engine configuration — idle
-//! fast-forward, rayon compute phase, SoA batch kernels, force-phase
-//! burst stepping, and their combination — must produce reports and
+//! fast-forward, rayon compute phase, SoA batch kernels, the chips'
+//! fast path, and their combination — must produce reports and
 //! particle state bit-identical to the serial reference loop, for both
 //! synchronization modes.
 
@@ -53,15 +53,11 @@ fn assert_identical(sync: SyncMode) {
         ("parallel", EngineConfig::serial().with_threads(4)),
         ("soa", EngineConfig::serial().with_soa(true)),
         (
-            "soa+burst",
-            EngineConfig::serial()
-                .with_soa(true)
-                .with_burst(true)
-                .with_fast_path(true),
+            "soa+fast-path",
+            EngineConfig::serial().with_soa(true).with_fast_path(true),
         ),
-        ("burst-only", EngineConfig::serial().with_burst(true)),
         // The full optimized engine: threads + fast-forward + fast path +
-        // SoA kernels + burst stepping, all on by default.
+        // SoA kernels, all on by default.
         ("parallel+ff", EngineConfig::parallel().with_threads(4)),
     ];
     for (name, engine) in engines {
@@ -83,25 +79,6 @@ fn engines_bit_identical_bulk_sync() {
 }
 
 #[test]
-fn burst_refusals_carry_a_named_reason() {
-    // Burst windows cannot open on these workloads (every ring-kind
-    // scan ends in a chip-boundary event, so quiet chips are finished
-    // chips); what the engine owes instead is an accounting of *why*.
-    // Every refusal must land in exactly one named reason bucket.
-    let sys = workload(31);
-    let mut cluster = Cluster::new(cfg(SyncMode::Chained), &sys);
-    cluster
-        .try_run_with(3, 2_000_000_000, &EngineConfig::parallel())
-        .expect("run converges");
-    assert!(cluster.burst_refused > 0, "burst was never even attempted");
-    assert_eq!(
-        cluster.burst_refused,
-        cluster.burst_refused_interface + cluster.burst_refused_idle + cluster.burst_refused_small,
-        "refusal reasons must partition the refusal count"
-    );
-}
-
-#[test]
 fn fast_forward_preserves_straggler_stalls() {
     // Stall injection exercises the stall-expiry event path.
     let sys = workload(33);
@@ -117,8 +94,7 @@ fn fast_forward_preserves_straggler_stalls() {
 
     assert_eq!(got, want, "fast-forward drifted under a straggler");
 
-    // Burst stepping interacts with stall expiry (`stalls -= W`): the
-    // full optimized engine must agree too.
+    // The full optimized engine must agree too.
     let mut full = Cluster::new(c, &sys);
     let got = full
         .try_run_with(2, 2_000_000_000, &EngineConfig::parallel())

@@ -46,9 +46,9 @@ fn final_totals_identical_across_engines_and_shards() {
         let trace = oracle.take_trace().expect("tracing was on");
         let want = final_totals_json(&report, Some(&trace.stalls)).pretty();
 
-        // Rayon engine (burst on — totals must still match: the report
-        // and the ledger are engine-invariant even when the engine
-        // trace stream is not).
+        // Default rayon engine (fast-forward on — totals must still
+        // match: the report and the ledger are engine-invariant even
+        // when the engine trace stream is not).
         let mut par = Cluster::new(cfg.clone(), &sys);
         let r = par
             .try_run_with(

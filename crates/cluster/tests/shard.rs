@@ -32,9 +32,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     harness::tmpdir(&format!("shard-{tag}"))
 }
 
-/// `Trace` doesn't derive `PartialEq` (the engine stream is normally
-/// engine-specific), but in a sharded run the workers pin `burst=false`
-/// and the references below do the same — so every field must match.
+/// `Trace` doesn't derive `PartialEq` (the engine stream of
+/// fast-forward jumps is engine-specific), but the sharded workers run
+/// the same engine configuration as the references below — so every
+/// field must match.
 fn assert_traces_equal(got: &[Trace], want: &[Trace], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: segment count");
     for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
@@ -102,9 +103,9 @@ struct Scenario {
     engine: EngineConfig,
 }
 
-/// Local engines run with `burst=false` (the sharded workers force it
-/// off; the references here match so even the engine trace stream is
-/// comparable). Everything else — threads, SoA, fast-forward — varies.
+/// The references run the same engine configuration as the sharded
+/// workers, so even the engine trace stream is comparable. Threads,
+/// SoA and fast-forward vary across scenarios.
 fn scenarios() -> Vec<Scenario> {
     let full = TraceConfig::full();
     vec![
@@ -120,7 +121,7 @@ fn scenarios() -> Vec<Scenario> {
             faults: None,
             reliable: false,
             straggler: None,
-            engine: EngineConfig::parallel().with_threads(2).with_burst(false).with_trace(full),
+            engine: EngineConfig::parallel().with_threads(2).with_trace(full),
         },
         Scenario {
             name: "lossy-serial",
@@ -134,7 +135,7 @@ fn scenarios() -> Vec<Scenario> {
             faults: Some(FaultPlan::drop_only(0.05, 0xC0FFEE)),
             reliable: true,
             straggler: None,
-            engine: EngineConfig::parallel().with_threads(2).with_burst(false).with_trace(full),
+            engine: EngineConfig::parallel().with_threads(2).with_trace(full),
         },
         // Fig. 16 straggler ablation: node 3 stalls 400 cycles per force
         // phase, the others fast-forward — the horizon-agreement frames
@@ -263,17 +264,17 @@ fn sharded_over_loopback_tcp_matches_oracle_bit_for_bit() {
     }
 }
 
-/// A burst-enabled single-process run legitimately produces a different
-/// *engine* trace stream, but the report and physics are
-/// engine-invariant — the sharded run must still match them.
+/// The untraced default engine (threads + fast-forward + fast path +
+/// SoA) without checkpoint segmentation: the sharded run must match its
+/// report and physics.
 #[test]
-fn sharded_matches_burst_oracle_report_and_state() {
+fn sharded_matches_default_engine_report_and_state() {
     let sys = workload();
     let cfg = config(None, false);
     let mut oracle = Cluster::new(cfg.clone(), &sys);
     let want = oracle
         .try_run_with(STEPS, BUDGET, &EngineConfig::parallel().with_threads(2))
-        .expect("burst oracle completes");
+        .expect("default-engine oracle completes");
     let want_state = final_state(&oracle, &sys);
 
     let run = run_sharded(
@@ -285,7 +286,7 @@ fn sharded_matches_burst_oracle_report_and_state() {
         ShardOpts::default(),
     )
     .expect("sharded run completes");
-    assert_eq!(run.report, want, "report drifted vs burst oracle");
+    assert_eq!(run.report, want, "report drifted vs default-engine oracle");
     let state = final_state(&run.replica, &sys);
     assert_eq!(state.0.pos, want_state.0.pos);
     assert_eq!(state.0.vel, want_state.0.vel);

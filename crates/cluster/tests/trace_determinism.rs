@@ -1,8 +1,8 @@
 //! Flight-recorder determinism: every engine configuration must emit
 //! **byte-identical per-node event streams and stall ledgers**, because
 //! events are stamped in global cluster cycles and attribution reads
-//! only engine-invariant state. Engine-level events (burst windows,
-//! fast-forward jumps) live in a separate stream and are deliberately
+//! only engine-invariant state. Engine-level events (fast-forward
+//! jumps) live in a separate stream and are deliberately
 //! excluded from the comparison — they describe how the simulator ran,
 //! not what the simulated machine did.
 
@@ -73,7 +73,7 @@ fn assert_streams_identical(sync: SyncMode) {
                 .with_trace(full),
         ),
         (
-            "optimized(burst)",
+            "optimized",
             EngineConfig::parallel().with_threads(4).with_trace(full),
         ),
     ];

@@ -455,102 +455,6 @@ impl TimedChip {
         }
     }
 
-    /// Burst window W for the force phase: the number of upcoming cycles
-    /// provably free of chip-boundary events, during which
-    /// [`TimedChip::step_force_cycle`] reduces to the CBB-internal walk
-    /// alone. Returns 0 unless the chip's external interfaces are quiet
-    /// (precondition *P*): every position/force ring empty, EX
-    /// ingress/egress queues empty, and every SPE's `bcast`/`frc_out`
-    /// queue empty. Under *P*, ring rotation records zero occupancy
-    /// (`Activity::record(0, false)` is a no-op), no deliveries or
-    /// captures can trigger, and the injection stage has nothing to
-    /// inject — so the only live work is [`TimedCbb::step_force_collect`].
-    ///
-    /// W combines the CBBs' per-kind bounds
-    /// ([`TimedCbb::force_burst_bound`]):
-    ///
-    /// * min over CBBs of the *boundary* bound — no `frc_out` push or
-    ///   remote completion record for W cycles, keeping *P* invariant
-    ///   across the whole window. Home-internal ejections (local FC
-    ///   accumulations, recordless discards) are chip-internal and are
-    ///   free to happen inside the window — the per-cycle walk the burst
-    ///   replaces handles them in exactly the same place.
-    /// * max over CBBs of the *completion* bound — while any CBB provably
-    ///   still holds work, the chip cannot be `force_phase_local_idle`,
-    ///   so the reference walk would have stepped it on every one of
-    ///   these W cycles. This keeps the burst from running idle cycles
-    ///   the per-cycle engines never execute (which would skew chip-local
-    ///   cycle counts and stall ledgers). In the force-phase tail —
-    ///   ring traffic drained, only home-internal `i < j` scans left —
-    ///   this is the bound that actually opens wide windows.
-    pub fn force_burst_window(&self) -> u64 {
-        let quiet = self.pos_rings.iter().all(Ring::is_empty)
-            && self.frc_rings.iter().all(Ring::is_empty)
-            && self.pos_ingress.is_empty()
-            && self.frc_ingress.is_empty()
-            && self.pos_egress.is_empty()
-            && self.frc_egress.is_empty()
-            && self
-                .cbbs
-                .iter()
-                .flat_map(|c| c.spes.iter())
-                .all(|s| s.bcast.is_empty() && s.frc_out.is_empty());
-        if !quiet {
-            return 0;
-        }
-        let mut boundary = u64::MAX;
-        let mut completion = 0u64;
-        for cbb in &self.cbbs {
-            let (b, c) = cbb.force_burst_bound();
-            boundary = boundary.min(b);
-            completion = completion.max(c);
-        }
-        boundary.min(completion)
-    }
-
-    /// Advance the force phase `w` cycles in one burst, `w ≤`
-    /// [`TimedChip::force_burst_window`]. Equivalent to `w` calls of
-    /// [`TimedChip::step_force_cycle`] by the window proof; the walk runs
-    /// CBB-major (each CBB's `w` cycles in one tight inner loop) because
-    /// CBBs don't interact below the (quiet) ring layer, which is the
-    /// cache-friendly order the per-cycle interpreter can't use.
-    pub fn run_force_burst(&mut self, w: u64) {
-        debug_assert_eq!(self.phase, Phase::Force);
-        debug_assert!(w <= self.force_burst_window());
-        if self.trace.wants(TraceLevel::Full) {
-            // Full-level tracing records per-cycle PE activity, so take
-            // the reference per-cycle walk, advancing the global-cycle
-            // stamp through the window.
-            let base = self.trace_now;
-            for i in 0..w {
-                self.trace_now = base + i;
-                self.step_force_cycle();
-            }
-            return;
-        }
-        let start = self.cycle;
-        let dp = &self.dp;
-        let run = |cbb: &mut TimedCbb, out: &mut Vec<(ChipCoord, u32, u32)>| {
-            out.clear();
-            for c in 0..w {
-                cbb.step_force_collect(start + c, dp, out);
-            }
-            debug_assert!(out.is_empty(), "burst window must be event-free");
-        };
-        if self.par_cbbs {
-            use rayon::prelude::*;
-            type CbbJob<'a> = (&'a mut TimedCbb, &'a mut Vec<(ChipCoord, u32, u32)>);
-            let mut jobs: Vec<CbbJob<'_>> =
-                self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()).collect();
-            jobs.par_iter_mut().for_each(|(cbb, out)| run(cbb, out));
-        } else {
-            for (cbb, out) in self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()) {
-                run(cbb, out);
-            }
-        }
-        self.cycle += w;
-    }
-
     /// Total particles on this chip.
     pub fn num_particles(&self) -> usize {
         self.cbbs.iter().map(TimedCbb::len).sum()

@@ -77,7 +77,7 @@ impl<P: PartialEq + Clone, T> Packetizer<P, T> {
         self.ready.push_back((g, pkt));
     }
 
-    /// Flush a peer's staged payloads without a marker (end of burst).
+    /// Flush a peer's staged payloads without a marker (end of a batch).
     pub fn flush(&mut self, peer: &P, step: u64) {
         let g = self.gate(peer);
         if !self.staging[g].is_empty() {

@@ -161,7 +161,7 @@ impl<T: Clone> LinkSender<T> {
     }
 
     /// Earliest retransmission deadline among unacked packets, if any.
-    /// Fast-forward and burst windows must not jump past this.
+    /// Fast-forward must not jump past this.
     pub fn next_retx_due(&self) -> Option<u64> {
         self.window.values().next().map(|p| p.deadline)
     }

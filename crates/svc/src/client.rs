@@ -39,10 +39,11 @@ impl Client {
 
     /// Submit a job; returns its queue id.
     pub fn submit(&mut self, spec: &JobSpec) -> Result<u64, ProtoError> {
+        let spec = spec.to_wire().map_err(ProtoError::Malformed)?;
         let resp = self.call(
             proto::msg()
                 .field("op", "submit")
-                .field("spec", spec.to_json())
+                .field("spec", spec)
                 .build(),
         )?;
         resp.get("id")

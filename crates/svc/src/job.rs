@@ -109,7 +109,9 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Serialize for the wire and the queue journal.
+    /// Serialize for the queue journal. Lossless for every spec
+    /// [`JobSpec::from_json`] accepted; a spec built in code goes through
+    /// [`JobSpec::to_wire`] instead.
     pub fn to_json(&self) -> Json {
         let mut o = Json::obj()
             .field("name", self.name.as_str())
@@ -131,23 +133,52 @@ impl JobSpec {
         o.build()
     }
 
-    /// Parse a spec; missing optional fields take the CLI defaults.
+    /// Serialize for the wire: [`JobSpec::to_json`], except that a value
+    /// the JSON integer encoding (`i64`) cannot carry is an error rather
+    /// than a silent saturation — a seed ≥ 2^63 would otherwise run as a
+    /// different seed.
+    pub fn to_wire(&self) -> Result<Json, String> {
+        for (field, v) in [
+            ("seed", self.seed),
+            ("steps", self.steps),
+            ("ckpt_every", self.ckpt_every),
+        ] {
+            if i64::try_from(v).is_err() {
+                return Err(format!(
+                    "job spec '{field}' = {v} is out of range (must be below 2^63)"
+                ));
+            }
+        }
+        Ok(self.to_json())
+    }
+
+    /// Parse a spec; missing optional fields take the CLI defaults. An
+    /// integer field that is present must fit its type: a negative or
+    /// oversized value is an error naming the field, never a wrapped cast.
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let s = |key: &str| doc.get(key).and_then(Json::as_str).map(String::from);
-        let n = |key: &str| doc.get(key).and_then(Json::as_i64);
+        fn int<T: TryFrom<i64>>(doc: &Json, key: &str) -> Result<Option<T>, String> {
+            let Some(v) = doc.get(key) else {
+                return Ok(None);
+            };
+            v.as_i64()
+                .and_then(|n| T::try_from(n).ok())
+                .map(Some)
+                .ok_or_else(|| format!("job spec '{key}' is out of range: {}", v.compact()))
+        }
         let d = JobSpec::default();
         let spec = JobSpec {
             name: s("name").unwrap_or_default(),
             tenant: s("tenant").unwrap_or(d.tenant),
-            priority: n("priority").unwrap_or(0),
+            priority: int(doc, "priority")?.unwrap_or(0),
             total: s("total").ok_or("job spec needs 'total'")?,
             per_fpga: s("per_fpga").ok_or("job spec needs 'per_fpga'")?,
-            per_cell: n("per_cell").unwrap_or(d.per_cell as i64) as u32,
-            seed: n("seed").unwrap_or(d.seed as i64) as u64,
-            steps: n("steps").ok_or("job spec needs 'steps'")? as u64,
+            per_cell: int(doc, "per_cell")?.unwrap_or(d.per_cell),
+            seed: int(doc, "seed")?.unwrap_or(d.seed),
+            steps: int(doc, "steps")?.ok_or("job spec needs 'steps'")?,
             fault_plan: s("fault_plan"),
             unreliable: doc.get("unreliable") == Some(&Json::Bool(true)),
-            ckpt_every: n("ckpt_every").unwrap_or(0) as u64,
+            ckpt_every: int(doc, "ckpt_every")?.unwrap_or(0),
             dump_state: s("dump_state"),
         };
         check_geometry(parse_dims(&spec.total)?, parse_dims(&spec.per_fpga)?)?;
@@ -271,6 +302,35 @@ mod tests {
         ] {
             let doc = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&doc).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_by_name() {
+        for (field, bad) in [
+            ("steps", r#"{"total":"633","per_fpga":"333","steps":-1}"#),
+            ("per_cell", r#"{"total":"633","per_fpga":"333","steps":3,"per_cell":-1}"#),
+            ("per_cell", r#"{"total":"633","per_fpga":"333","steps":3,"per_cell":4294967296}"#),
+            ("ckpt_every", r#"{"total":"633","per_fpga":"333","steps":3,"ckpt_every":-2}"#),
+            ("seed", r#"{"total":"633","per_fpga":"333","steps":3,"seed":-1}"#),
+            ("seed", r#"{"total":"633","per_fpga":"333","steps":3,"seed":1e19}"#),
+            ("steps", r#"{"total":"633","per_fpga":"333","steps":2.5}"#),
+            ("priority", r#"{"total":"633","per_fpga":"333","steps":3,"priority":"high"}"#),
+        ] {
+            let doc = Json::parse(bad).unwrap();
+            let err = JobSpec::from_json(&doc).expect_err(bad);
+            assert!(err.contains(&format!("'{field}'")), "{bad}: error {err:?} does not name {field}");
+        }
+    }
+
+    #[test]
+    fn wire_rejects_seeds_json_cannot_carry() {
+        let max = JobSpec { seed: i64::MAX as u64, ..JobSpec::default() };
+        let back = JobSpec::from_json(&max.to_wire().expect("i64::MAX fits")).expect("round trip");
+        assert_eq!(back.seed, i64::MAX as u64);
+        for seed in [1u64 << 63, u64::MAX] {
+            let err = JobSpec { seed, ..JobSpec::default() }.to_wire().expect_err("seed >= 2^63");
+            assert!(err.contains("'seed'"), "{err}");
         }
     }
 }

@@ -111,11 +111,14 @@ impl Json {
         }
     }
 
-    /// Integer view: `Int` exactly, or an integral `Num`.
+    /// Integer view: `Int` exactly, or an integral `Num` inside the
+    /// `i64` range (an out-of-range one is `None`, never saturated).
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(v) => Some(*v),
-            Json::Num(v) if v.fract() == 0.0 && v.is_finite() => Some(*v as i64),
+            Json::Num(v) if v.fract() == 0.0 && (i64::MIN as f64..-(i64::MIN as f64)).contains(v) => {
+                Some(*v as i64)
+            }
             _ => None,
         }
     }
