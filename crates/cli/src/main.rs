@@ -82,10 +82,12 @@ impl Opts {
 
 /// `--serial` / `--threads N` → engine configuration. The default is
 /// [`EngineConfig::auto`], which probes the host: multi-core machines
-/// get the full parallel engine, single-core ones skip the thread pool
-/// (whose coordination overhead costs more than it buys there) but keep
-/// idle fast-forward. Every choice yields a bit-identical run, only
-/// wall-clock time differs.
+/// get the full parallel engine with a chip crew of one member per
+/// core, single-core ones run the compute phase on the main thread but
+/// keep idle fast-forward. `--threads N` asks for an N-member crew; the
+/// engine caps it at the host's cores, and under `--shards S` each
+/// worker process gets at most `max(1, cores / S)` members. Every choice
+/// yields a bit-identical run, only wall-clock time differs.
 fn engine(opts: &Opts) -> Result<EngineConfig, String> {
     let mut e = if opts.has("--serial") {
         EngineConfig::serial()
@@ -244,10 +246,13 @@ fn usage() -> ExitCode {
          \x20crash directives, or let --recover N restart automatically up to N times,\n\
          \x20stripping exactly the directive that fired each time)\n\
          \n\
-         --shards S partitions the nodes across S worker processes exchanging\n\
-         boundary traffic over Unix-domain sockets; the run is bit-identical to a\n\
-         single process. --worker I --shard-dir DIR is the internal re-invocation\n\
-         the coordinator spawns — not for direct use.\n\
+         --threads N sets the compute-phase crew size (at most one member per\n\
+         core). --shards S partitions the nodes across S worker processes\n\
+         exchanging boundary traffic over Unix-domain sockets; the run is\n\
+         bit-identical to a single process, and the workers split the host's\n\
+         cores (each crew gets at most max(1, cores / S) members). --worker I\n\
+         --shard-dir DIR is the internal re-invocation the coordinator spawns —\n\
+         not for direct use.\n\
          \n\
          live telemetry: --heartbeat-out streams one JSONL progress record every\n\
          --heartbeat-every N steps (default 1 when a sink is given); --prom-out\n\

@@ -1,5 +1,6 @@
 //! The cluster driver: chips + packetizers + fabric + synchronization.
 
+use crate::crew::{self, Crew, Job};
 use crate::report::{ClusterRunReport, NodeStepReport, RelSummary};
 use crate::wire::{Cargo, Delivery, NetMsg};
 use fasda_core::config::ChipConfig;
@@ -21,7 +22,6 @@ use fasda_trace::{
     ChannelId, EventKind, NodeRecorder, PhaseId, StallCause, StallLedger, Trace, TraceConfig,
     TraceLevel,
 };
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::collections::BTreeMap;
 
 /// Safety cap on the global cycle loop.
@@ -39,8 +39,11 @@ pub(crate) const DEADLOCK_SCAN_INTERVAL: u64 = 256;
 /// engine").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the compute phase. `1` keeps the compute phase
-    /// on the caller's thread (no pool is built).
+    /// Members of the chip crew that runs the compute phase: the thread
+    /// running the cycle loop plus `threads − 1` helper threads that live
+    /// for the whole run (see the `crew` module). Capped at the cores the
+    /// run may use and at the nodes it steps; `1` keeps the compute phase
+    /// on the caller's thread and starts no helper.
     pub threads: usize,
     /// Skip cycles in which provably nothing can happen (all nodes
     /// quiescent, only in-flight packets / timers remain) by jumping the
@@ -91,14 +94,14 @@ impl EngineConfig {
         }
     }
 
-    /// The optimized engine: parallel compute phase over all available
-    /// cores, idle fast-forward, the chips' fast-path execution, and the
+    /// The optimized engine: a chip crew with one member per available
+    /// core, idle fast-forward, the chips' fast-path execution, and the
     /// fused SoA scan kernels
     /// (default-on since the fused filter→force kernel wins on dense
     /// workloads; opt out with [`EngineConfig::with_soa`]).
     pub fn parallel() -> Self {
         EngineConfig {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: crew::host_cores(),
             fast_forward: true,
             fast_path: true,
             soa: true,
@@ -109,15 +112,15 @@ impl EngineConfig {
 
     /// Pick an engine for the host automatically: the full optimized
     /// engine on multi-core machines, and on a single hardware thread the
-    /// serial oracle compute path with idle fast-forward kept on (a rayon
-    /// pool on one core only adds dispatch overhead, while fast-forward
-    /// still wins big on straggler-style idle phases and costs nothing on
-    /// dense ones). Used by the CLI when no engine is requested
-    /// explicitly.
+    /// serial oracle compute path with idle fast-forward kept on (a
+    /// one-member crew has nothing to share, while fast-forward still
+    /// wins big on straggler-style idle phases and costs nothing on dense
+    /// ones). Used by the CLI when no engine is requested explicitly.
     pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Self::parallel(),
-            _ => Self::serial().with_fast_forward(true),
+        if crew::host_cores() > 1 {
+            Self::parallel()
+        } else {
+            Self::serial().with_fast_forward(true)
         }
     }
 
@@ -885,8 +888,8 @@ impl Cluster {
     ///
     /// Every global cycle is split into a *compute phase* — each
     /// non-stalled node's chip ticks one cycle against state frozen at the
-    /// cycle start, touching only that chip, so the chips may tick on a
-    /// rayon pool in any order — and a serial *exchange phase* that runs
+    /// cycle start, touching only that chip, so the chips may tick on the
+    /// chip crew in any order — and a serial *exchange phase* that runs
     /// in node order: egress drains, packetizer offers and marker flushes,
     /// sync bookkeeping, barrier arrivals and phase transitions, then the
     /// fabric and delivery sweeps. Because no compute-phase tick observes
@@ -903,12 +906,23 @@ impl Cluster {
         engine: &EngineConfig,
     ) -> Result<ClusterRunReport, ClusterError> {
         assert!(steps > 0);
+        let owned = self.owned_range();
+        let members = crew::members(engine.threads, crew::host_cores(), owned.len());
+        crew::run(members, owned, self.num_nodes(), |crew| {
+            self.cycle_loop(steps, cycle_budget, engine, crew)
+        })
+    }
+
+    /// The global cycle loop of [`Cluster::try_run_with`], with the
+    /// compute phase run on `crew`.
+    pub(crate) fn cycle_loop(
+        &mut self,
+        steps: u64,
+        cycle_budget: u64,
+        engine: &EngineConfig,
+        crew: &mut Crew<'_>,
+    ) -> Result<ClusterRunReport, ClusterError> {
         let run_start = self.cycle;
-        let pool = if engine.threads > 1 {
-            ThreadPoolBuilder::new().num_threads(engine.threads).build().ok()
-        } else {
-            None
-        };
         self.arm_run(engine);
 
         let mut idle_streak = 0u64;
@@ -948,7 +962,7 @@ impl Cluster {
                 }
                 .into());
             }
-            let stepped = self.compute_phase(pool.as_ref());
+            let stepped = self.compute_phase(crew);
             if self.tracing {
                 self.attribute_cycle();
             }
@@ -1129,106 +1143,42 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Compute phase: tick every chip that has local work, each against
-    /// its own state only. Fans out over the pool when one is configured;
-    /// chip independence makes the result order-invariant. Returns whether
-    /// any chip ticked this cycle.
-    pub(crate) fn compute_phase(&mut self, pool: Option<&ThreadPool>) -> bool {
+    /// its own state only, on `crew`; chip independence makes the result
+    /// order-invariant. Returns whether any chip ticked this cycle.
+    pub(crate) fn compute_phase(&mut self, crew: &mut Crew<'_>) -> bool {
         let tracing = self.tracing;
         let now = self.cycle;
         if tracing {
             self.ticked.iter_mut().for_each(|t| *t = false);
         }
-        match pool {
-            None => {
-                let mut stepped = false;
-                for node in self.owned_range() {
-                    if self.stalls[node] > 0 || (self.use_quiet && self.quiet[node]) {
-                        continue;
+        for node in self.owned_range() {
+            let chip = &mut self.chips[node];
+            let job = if self.stalls[node] > 0 || (self.use_quiet && self.quiet[node]) {
+                Job::Idle
+            } else {
+                match self.state[node].phase {
+                    NodePhase::Force if !chip.force_phase_local_idle() => Job::Force,
+                    NodePhase::Mu
+                        if !chip.mu_phase_local_idle() || !self.state[node].mig_flushed =>
+                    {
+                        Job::Mu
                     }
-                    match self.state[node].phase {
-                        NodePhase::Force => {
-                            if !self.chips[node].force_phase_local_idle() {
-                                if tracing {
-                                    self.chips[node].set_trace_now(now);
-                                    self.ticked[node] = true;
-                                }
-                                self.chips[node].step_force_cycle();
-                                stepped = true;
-                            } else if self.use_quiet {
-                                self.quiet[node] = true;
-                            }
+                    NodePhase::Force | NodePhase::Mu => {
+                        if self.use_quiet {
+                            self.quiet[node] = true;
                         }
-                        NodePhase::Mu => {
-                            if !self.chips[node].mu_phase_local_idle()
-                                || !self.state[node].mig_flushed
-                            {
-                                if tracing {
-                                    self.chips[node].set_trace_now(now);
-                                    self.ticked[node] = true;
-                                }
-                                self.chips[node].step_mu_cycle();
-                                stepped = true;
-                            } else if self.use_quiet {
-                                self.quiet[node] = true;
-                            }
-                        }
-                        _ => {}
+                        Job::Idle
                     }
+                    _ => Job::Idle,
                 }
-                stepped
+            };
+            if tracing && job != Job::Idle {
+                chip.set_trace_now(now);
+                self.ticked[node] = true;
             }
-            Some(pool) => {
-                use rayon::prelude::*;
-                let owned = self.owned_range();
-                let Cluster { chips, state, stalls, quiet, use_quiet, ticked, .. } = self;
-                let mut jobs: Vec<(&mut TimedChip, bool)> = Vec::with_capacity(chips.len());
-                for (node, chip) in chips.iter_mut().enumerate() {
-                    if !owned.contains(&node) {
-                        continue;
-                    }
-                    if stalls[node] > 0 || (*use_quiet && quiet[node]) {
-                        continue;
-                    }
-                    match state[node].phase {
-                        NodePhase::Force => {
-                            if !chip.force_phase_local_idle() {
-                                if tracing {
-                                    chip.set_trace_now(now);
-                                    ticked[node] = true;
-                                }
-                                jobs.push((chip, true));
-                            } else if *use_quiet {
-                                quiet[node] = true;
-                            }
-                        }
-                        NodePhase::Mu => {
-                            if !chip.mu_phase_local_idle() || !state[node].mig_flushed {
-                                if tracing {
-                                    chip.set_trace_now(now);
-                                    ticked[node] = true;
-                                }
-                                jobs.push((chip, false));
-                            } else if *use_quiet {
-                                quiet[node] = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                if !jobs.is_empty() {
-                    pool.install(|| {
-                        jobs.par_iter_mut().for_each(|(chip, force)| {
-                            if *force {
-                                chip.step_force_cycle();
-                            } else {
-                                chip.step_mu_cycle();
-                            }
-                        });
-                    });
-                }
-                !jobs.is_empty()
-            }
+            crew.assign(node, job);
         }
+        crew.step(&mut self.chips)
     }
 
     // ------------------------------------------------------------------

@@ -14,6 +14,7 @@
 //! chained handshake with a central barrier for comparison.
 
 pub mod ckpt;
+mod crew;
 pub mod driver;
 pub mod host;
 pub mod obs;

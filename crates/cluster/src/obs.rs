@@ -465,7 +465,7 @@ fn set_stalls(reg: &mut Registry, stalls: &[u64; STALL_CLASSES], productive: u64
 
 /// Final totals as a registry — a pure function of the run report and
 /// (optionally) the folded stall ledger. Both inputs are bit-identical
-/// across {serial, rayon, sharded} runs, so these totals are the
+/// across {serial, multi-threaded, sharded} runs, so these totals are the
 /// identity artifact the CI gates byte-diff. Engine-private counters
 /// (fast-forward) are deliberately excluded.
 pub fn final_registry(report: &ClusterRunReport, stalls: Option<&StallLedger>) -> Registry {

@@ -62,6 +62,7 @@
 //! and `--resume` across a *different* shard count — work unchanged.
 
 use crate::ckpt::{save_checkpoint, CheckpointConfig, RunAccumulator};
+use crate::crew::{self, Crew};
 use crate::driver::{
     sections, Cluster, ClusterConfig, ClusterError, ClusterStalled, CrashInjected,
     DeadlockDetected, EngineConfig, ExchangeBuf, NextEvent, NodePhase, WireEvent,
@@ -76,7 +77,6 @@ use fasda_net::sync::SyncMode;
 use fasda_net::transport::{FrameLink, LinkError, MemLink, SocketLink, TcpLink};
 use fasda_sim::StatSet;
 use fasda_trace::{NodeStream, StallLedger, Trace, TraceLevel};
-use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -859,7 +859,7 @@ impl ObsShard {
 fn run_segment(
     cl: &mut Cluster,
     engine: &EngineConfig,
-    pool: Option<&ThreadPool>,
+    crew: &mut Crew<'_>,
     mesh: &mut [Box<dyn FrameLink>],
     ctl: &mut dyn FrameLink,
     obs: &mut ObsShard,
@@ -920,7 +920,7 @@ fn run_segment(
         }
 
         // Local cycle: compute → exchange → network, all on owned nodes.
-        let stepped_local = cl.compute_phase(pool);
+        let stepped_local = cl.compute_phase(crew);
         if cl.tracing {
             cl.attribute_cycle();
         }
@@ -1130,6 +1130,10 @@ fn segment_ok(cl: &mut Cluster, base: &ScalarBase) -> SegmentOk {
 /// Worker main loop: obey `Run` / `Shutdown` control frames until the
 /// coordinator hangs up. `cl` must already have its `exchange` hook
 /// armed with the owned range (and be restored, when resuming).
+///
+/// Every worker is spawned on the coordinator's host, so the workers
+/// split its cores: each worker's chip crew gets at most
+/// `max(1, cores / shards)` members, whatever `engine.threads` asks for.
 fn worker_loop(
     mut cl: Cluster,
     engine: &EngineConfig,
@@ -1138,42 +1142,43 @@ fn worker_loop(
     index: usize,
     shards: usize,
 ) -> Result<(), ShardError> {
-    let pool = if engine.threads > 1 {
-        ThreadPoolBuilder::new().num_threads(engine.threads).build().ok()
-    } else {
-        None
-    };
-    let base = ScalarBase::of(&cl);
-    let base_lost = base.pos_lost + base.frc_lost;
-    let mut lost_total = base_lost;
-    let mut obs = ObsShard::new(engine.heartbeat_every, index as u32, shards);
-    loop {
-        match CtlFrame::decode(&ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
-            CtlFrame::Run { target, budget } => {
-                let frame = match run_segment(
-                    &mut cl,
-                    engine,
-                    pool.as_ref(),
-                    mesh,
-                    ctl,
-                    &mut obs,
-                    target,
-                    budget,
-                    base_lost,
-                    &mut lost_total,
-                ) {
-                    Ok(()) => {
-                        obs.bank_segment(&cl);
-                        CtlFrame::Done(Box::new(segment_ok(&mut cl, &base)))
-                    }
-                    Err(f) => CtlFrame::Fail(f),
-                };
-                ctl.send_frame(&frame.encode())?;
+    let owned = cl.owned_range();
+    let cores = (crew::host_cores() / shards).max(1);
+    let members = crew::members(engine.threads, cores, owned.len());
+    let nodes = cl.num_nodes();
+    crew::run(members, owned, nodes, |crew| {
+        let base = ScalarBase::of(&cl);
+        let base_lost = base.pos_lost + base.frc_lost;
+        let mut lost_total = base_lost;
+        let mut obs = ObsShard::new(engine.heartbeat_every, index as u32, shards);
+        loop {
+            match CtlFrame::decode(&ctl.recv_frame()?).map_err(ShardError::Ckpt)? {
+                CtlFrame::Run { target, budget } => {
+                    let frame = match run_segment(
+                        &mut cl,
+                        engine,
+                        crew,
+                        mesh,
+                        ctl,
+                        &mut obs,
+                        target,
+                        budget,
+                        base_lost,
+                        &mut lost_total,
+                    ) {
+                        Ok(()) => {
+                            obs.bank_segment(&cl);
+                            CtlFrame::Done(Box::new(segment_ok(&mut cl, &base)))
+                        }
+                        Err(f) => CtlFrame::Fail(f),
+                    };
+                    ctl.send_frame(&frame.encode())?;
+                }
+                CtlFrame::Shutdown => return Ok(()),
+                _ => return Err(ShardError::Protocol("unexpected control frame in worker".into())),
             }
-            CtlFrame::Shutdown => return Ok(()),
-            _ => return Err(ShardError::Protocol("unexpected control frame in worker".into())),
         }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1464,6 +1469,12 @@ fn shutdown(ctl: &mut [Box<dyn FrameLink>]) {
 // ---------------------------------------------------------------------------
 
 /// Options for a sharded run.
+///
+/// The engine each worker runs is the caller's [`EngineConfig`], with
+/// one rule: every worker is spawned on the coordinator's host (harness
+/// threads in [`run_sharded`], processes in [`coordinator_main_net`]), so
+/// the workers split its cores — each worker's chip crew gets at most
+/// `max(1, cores / shards)` members, whatever `threads` asks for.
 pub struct ShardOpts {
     /// Global cycle budget across all segments.
     pub budget: u64,

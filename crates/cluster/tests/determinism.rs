@@ -1,10 +1,15 @@
 //! Engine determinism regression: every engine configuration — idle
-//! fast-forward, rayon compute phase, SoA batch kernels, the chips'
-//! fast path, and their combination — must produce reports and
-//! particle state bit-identical to the serial reference loop, for both
-//! synchronization modes.
+//! fast-forward, the chip crew's parallel compute phase, SoA batch
+//! kernels, the chips' fast path, and their combination — must produce
+//! reports and particle state bit-identical to the serial reference
+//! loop, for both synchronization modes.
 
-use fasda_cluster::{Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig};
+mod harness;
+
+use fasda_cluster::{
+    Cluster, ClusterConfig, ClusterError, ClusterRunReport, EngineConfig, FaultPlan, Trace,
+    TraceConfig,
+};
 use fasda_core::config::ChipConfig;
 use fasda_md::element::Element;
 use fasda_md::space::SimulationSpace;
@@ -121,4 +126,101 @@ fn fast_forward_reports_packet_loss_deadlock() {
         "fast-forward should prove the deadlock: {err}"
     );
     assert!(err.at_cycle() <= 300_000, "detected within the budget");
+}
+
+// -------------------------------------------------------------------------
+// Chip crew: partitions, caps and early exits
+// -------------------------------------------------------------------------
+
+/// Report, trace and bit-exact final state of a traced run of `steps`
+/// steps on `sys` under `cfg` and `engine`.
+fn traced_run(
+    cfg: &ClusterConfig,
+    sys: &ParticleSystem,
+    steps: u64,
+    engine: EngineConfig,
+) -> (ClusterRunReport, Trace, (ParticleSystem, harness::ForceBits)) {
+    let mut cluster = Cluster::new(cfg.clone(), sys);
+    let report = cluster
+        .try_run_with(steps, 2_000_000_000, &engine.with_trace(TraceConfig::full()))
+        .expect("run converges");
+    let trace = cluster.take_trace().expect("tracing on");
+    (report, trace, harness::final_state(&cluster, sys))
+}
+
+/// `engine` at every thread count in `threads` against the serial
+/// oracle: reports, per-node event streams, stall ledgers and state
+/// bits; the engine stream (fast-forward jumps) against the same engine
+/// on one thread.
+fn assert_crew_matches_oracle(cfg: &ClusterConfig, sys: &ParticleSystem, threads: &[usize]) {
+    let steps = 2;
+    let (want_report, oracle, want_state) = traced_run(cfg, sys, steps, EngineConfig::serial());
+    let (_, one, _) = traced_run(cfg, sys, steps, EngineConfig::parallel().with_threads(1));
+    for &t in threads {
+        let ctx = format!("{} nodes, with_threads({t})", want_report.nodes);
+        let (report, trace, state) =
+            traced_run(cfg, sys, steps, EngineConfig::parallel().with_threads(t));
+        assert_eq!(report, want_report, "{ctx}: report drifted");
+        assert_eq!(trace.nodes, oracle.nodes, "{ctx}: per-node event streams drifted");
+        assert_eq!(trace.stalls, oracle.stalls, "{ctx}: stall ledger drifted");
+        assert_eq!(trace.engine, one.engine, "{ctx}: engine stream drifted");
+        harness::assert_state_eq(&state, &want_state, &ctx);
+    }
+}
+
+#[test]
+fn crew_partitions_match_oracle_on_eight_nodes() {
+    // 3 members split 8 chips 2/3/3 (where the host has 3 cores); 16
+    // asks for more members than there are cores or chips.
+    let sys = workload(35);
+    let mut c = cfg(SyncMode::Chained);
+    c.straggler = Some((5, 300));
+    assert_crew_matches_oracle(&c, &sys, &[3, 16]);
+}
+
+#[test]
+fn crew_matches_oracle_on_two_nodes() {
+    // The paper's 2-FPGA configuration: at most two members, whatever
+    // the request.
+    let sys = WorkloadSpec {
+        space: SimulationSpace::new(6, 3, 3),
+        per_cell: 3,
+        placement: Placement::JitteredLattice { jitter: 0.05 },
+        temperature_k: 150.0,
+        seed: 23,
+        element: Element::Na,
+    }
+    .generate();
+    let c = cfg(SyncMode::Chained);
+    assert_eq!(Cluster::new(c.clone(), &sys).num_nodes(), 2);
+    assert_crew_matches_oracle(&c, &sys, &[4]);
+}
+
+#[test]
+fn crew_stops_on_typed_errors() {
+    // Both runs return mid-run with helpers alive; the test finishing
+    // at all shows they were stopped and joined on the error path.
+    let sys = workload(36);
+    let engine = EngineConfig::parallel().with_threads(2);
+
+    let crash = cfg(SyncMode::Chained).with_faults(FaultPlan::none().with_crash(1, 1));
+    let err = Cluster::new(crash, &sys)
+        .try_run_with(3, 2_000_000_000, &engine)
+        .expect_err("crash directive must abort the run");
+    match err {
+        ClusterError::Crashed(c) => assert_eq!((c.node, c.step), (1, 1), "wrong crash"),
+        other => panic!("expected the injected crash, got {other}"),
+    }
+
+    let mut lossy = cfg(SyncMode::Chained);
+    lossy.loss = Some((0.2, 7));
+    for engine in [engine, engine.with_fast_forward(false)] {
+        let err = Cluster::new(lossy.clone(), &sys)
+            .try_run_with(3, 300_000, &engine)
+            .expect_err("loss must stall the cluster");
+        assert!(
+            matches!(err, ClusterError::Deadlock(_)),
+            "the deadlock should be diagnosed: {err}"
+        );
+    }
 }

@@ -293,6 +293,31 @@ fn sharded_matches_default_engine_report_and_state() {
     assert_eq!(state.1, want_state.1);
 }
 
+/// Two shards whose workers each ask for a two-member chip crew (the
+/// crew gets `max(1, cores / 2)` members) against the serial oracle:
+/// report, per-node event streams, stall ledger and state bits.
+#[test]
+fn sharded_crews_match_serial_oracle() {
+    let sys = workload();
+    let cfg = config(None, false);
+    let full = TraceConfig::full();
+    let mut oracle = Cluster::new(cfg.clone(), &sys);
+    let want = oracle
+        .try_run_with(STEPS, BUDGET, &EngineConfig::serial().with_trace(full))
+        .expect("serial oracle completes");
+    let want_trace = oracle.take_trace().expect("tracing on");
+    let want_state = final_state(&oracle, &sys);
+
+    let engine = EngineConfig::parallel().with_threads(2).with_trace(full);
+    let run = run_sharded(&cfg, &sys, STEPS, &engine, 2, ShardOpts::default())
+        .expect("sharded run completes");
+    assert_eq!(run.report, want, "report drifted vs serial oracle");
+    assert_eq!(run.traces.len(), 1, "one segment without checkpoints");
+    assert_eq!(run.traces[0].nodes, want_trace.nodes, "per-node event streams drifted");
+    assert_eq!(run.traces[0].stalls, want_trace.stalls, "stall ledger drifted");
+    harness::assert_state_eq(&final_state(&run.replica, &sys), &want_state, "2 shards x 2");
+}
+
 // -------------------------------------------------------------------------
 // Crash + resume on a different shard count
 // -------------------------------------------------------------------------

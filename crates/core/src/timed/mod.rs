@@ -189,14 +189,6 @@ pub struct TimedChip {
     /// Traffic counters since the last stats reset.
     pub traffic: TrafficCounters,
     completed_buf: Vec<(ChipCoord, u32, u32)>,
-    /// Fan CBB force cycles out over the installed rayon pool. CBBs only
-    /// touch their own state during [`TimedCbb::step_force_collect`];
-    /// per-CBB completion records are merged in CBB index order, so the
-    /// result is bit-identical to the serial walk.
-    par_cbbs: bool,
-    /// Per-CBB completion scratch for the parallel walk (reused across
-    /// cycles — no steady-state allocation).
-    cbb_scratch: Vec<Vec<(ChipCoord, u32, u32)>>,
     /// Flight recorder for this node's event stream (off by default).
     trace: NodeRecorder,
     /// Global cluster cycle to stamp chip-emitted events with. The chip's
@@ -305,8 +297,6 @@ impl TimedChip {
             bcast_cooldown: 0,
             traffic: TrafficCounters::default(),
             completed_buf: Vec::new(),
-            par_cbbs: false,
-            cbb_scratch: vec![Vec::new(); n],
             trace: NodeRecorder::off(),
             trace_now: 0,
             pe_prev: (0, 0),
@@ -428,13 +418,6 @@ impl TimedChip {
         } else {
             ForceActivity::InputStarved
         }
-    }
-
-    /// Fan CBB force cycles out over the installed rayon pool (call from
-    /// inside `ThreadPool::install` to engage). Results are bit-identical
-    /// to the serial walk for any thread count.
-    pub fn set_parallel_cbbs(&mut self, on: bool) {
-        self.par_cbbs = on;
     }
 
     /// Enable/disable the CBBs' fast-path execution (idle-SPE skipping,
@@ -630,29 +613,11 @@ impl TimedChip {
             }
         }
 
-        // 3. CBB internals. Each CBB tick only touches its own state, so
-        // the walk may fan out over a rayon pool; completion records are
-        // merged in CBB index order either way.
+        // 3. CBB internals, completion records in CBB index order.
         self.completed_buf.clear();
         let mut buf = std::mem::take(&mut self.completed_buf);
-        if self.par_cbbs {
-            use rayon::prelude::*;
-            let cycle = self.cycle;
-            let dp = &self.dp;
-            type CbbJob<'a> = (&'a mut TimedCbb, &'a mut Vec<(ChipCoord, u32, u32)>);
-            let mut jobs: Vec<CbbJob<'_>> =
-                self.cbbs.iter_mut().zip(self.cbb_scratch.iter_mut()).collect();
-            jobs.par_iter_mut().for_each(|(cbb, out)| {
-                out.clear();
-                cbb.step_force_collect(cycle, dp, out);
-            });
-            for out in &mut self.cbb_scratch {
-                buf.append(out);
-            }
-        } else {
-            for cbb in &mut self.cbbs {
-                cbb.step_force_collect(self.cycle, &self.dp, &mut buf);
-            }
+        for cbb in &mut self.cbbs {
+            cbb.step_force_collect(self.cycle, &self.dp, &mut buf);
         }
         for &(origin, completed, issued) in &buf {
             *self.remote_pos_outstanding.entry(origin).or_default() -= completed as i64;

@@ -9,7 +9,7 @@
 //!   records — phase begin/end, chained-sync marker handshakes, packet
 //!   send/deliver, PE dispatch/eject activity, injected straggler stalls
 //!   — stamped in **global cluster cycles**, so every engine
-//!   configuration (serial oracle, rayon two-phase tick, fast-forward)
+//!   configuration (serial oracle, chip-crew two-phase tick, fast-forward)
 //!   emits byte-identical per-node streams. Engine-level events
 //!   (fast-forward jumps) live in a
 //!   separate stream because they describe how the *simulator* ran, not

@@ -57,6 +57,27 @@ mod tests {
     }
 
     #[test]
+    fn num_threads_counts_the_caller() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        for n in 1..=4 {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap();
+            let ids = Mutex::new(HashSet::new());
+            pool.install(|| {
+                (0..256usize).into_par_iter().for_each(|_| {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                })
+            });
+            let ran = ids.into_inner().unwrap().len();
+            assert!(ran <= n, "num_threads({n}) ran jobs on {ran} threads");
+        }
+    }
+
+    #[test]
     fn serial_fallback_outside_install() {
         let v: Vec<usize> = (0..100usize).into_par_iter().map(|i| i * 2).collect();
         assert_eq!(v[99], 198);

@@ -35,6 +35,9 @@ thread_local! {
 }
 
 impl Registry {
+    /// A registry of `threads` threads: `threads − 1` spawned workers
+    /// plus the calling thread, which drains the queue in
+    /// [`Registry::scope`] too.
     fn with_workers(threads: usize) -> Arc<Registry> {
         let reg = Arc::new(Registry {
             shared: Mutex::new(Shared {
@@ -44,7 +47,7 @@ impl Registry {
             work_cv: Condvar::new(),
             threads,
         });
-        for i in 0..threads {
+        for i in 1..threads {
             let r = Arc::clone(&reg);
             std::thread::Builder::new()
                 .name(format!("fasda-pool-{i}"))
@@ -189,7 +192,9 @@ impl ThreadPoolBuilder {
         ThreadPoolBuilder { num_threads: 0 }
     }
 
-    /// 0 (the default) means "one thread per available core".
+    /// Threads that run the pool's jobs, the thread calling a parallel
+    /// operation included (it spawns `n − 1` workers). 0 (the default)
+    /// means "one thread per available core".
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = n;
         self
